@@ -129,8 +129,8 @@ SMOKE_MIN_FASTPATH_SPEEDUP = 1.5
 
 #: Rungs of the paper-scale big-ladder kernel (PR 6): the 541×302
 #: paper-true floor at the fleet sizes the paper excluded as "too slow
-#: to execute".  Region-sharded reservations, batched wakes and the
-#: wait-following rescue are auto-on here (the floor is far above
+#: to execute".  Region-sharded reservations and the wait-following
+#: rescue are auto-on here (the floor is far above
 #: ``PAPER_SCALE_MIN_CELLS``).
 BIG_LADDER_FLEETS = (500, 1000, 3000)
 
@@ -737,8 +737,7 @@ def _big_ladder_cell(spec, planner_name):
     cell = {"scenario": spec.name, "planner": planner_name,
             "n_robots": spec.n_robots,
             "floor": f"{spec.width}x{spec.height}",
-            "sharded_reservations": planner.sharded_reservations,
-            "batch_planning": planner.batch_planning}
+            "sharded_reservations": planner.sharded_reservations}
     started = time.perf_counter()
     try:
         result = Simulation(state, planner, items).run()
@@ -758,17 +757,9 @@ def _big_ladder_cell(spec, planner_name):
                  "wait": stats.legs_wait},
         "rescued_legs": stats.rescued_legs,
         "fastpath_audit_rejects": stats.fastpath_audit_rejects,
-        "batched_wakes": stats.batched_wakes,
-        "batched_legs": stats.batched_legs,
-        "batch_conflicts": stats.batch_conflicts,
         "search_expansions": stats.search_expansions,
         "search_kernel": search_kernel_name(),
-        "searches": {"compiled": stats.searches_compiled,
-                     "python": stats.searches_python},
-        "reserves": {"compiled": getattr(stats, "reserves_compiled", 0),
-                     "python": getattr(stats, "reserves_python", 0)},
-        "purges": {"compiled": getattr(stats, "purges_compiled", 0),
-                   "python": getattr(stats, "purges_python", 0)},
+        "kernels": dict(stats.kernels),
         "peak_memory_bytes": result.metrics.peak_memory_bytes,
         # Process-wide high watermark (KB on Linux).  Monotone across
         # cells — only the first cell to reach a level "pays" it — so
@@ -784,8 +775,8 @@ def bench_big_ladder(fleets=BIG_LADDER_FLEETS, planners=BIG_LADDER_PLANNERS):
     Every cell runs live at scale 1 on the paper's Real-Large floor
     dimensions — the regime the paper excluded as "too slow to execute"
     — with the paper-scale machinery auto-on: region-sharded reservation
-    structures, batched planner wakes with optimistic commit, the
-    wait-following descent rescue, and deep-tie full search.  Records
+    structures, the wait-following descent rescue, and deep-tie full
+    search.  Records
     per-rung planning/selection seconds, the tier histogram, the PR-6
     counters and both memory gauges (the planner-structure metric and
     the process ``ru_maxrss`` high watermark).
@@ -1406,8 +1397,7 @@ def _tier0_ladder_cell(spec, planner_name, compiled_tier0):
         "selection_s": stats.selection_seconds,
         "legs_planned": stats.legs_planned,
         "legs_free_flow": stats.legs_free_flow,
-        "descents": {"compiled": stats.descents_compiled,
-                     "python": stats.descents_python},
+        "kernels": dict(stats.kernels),
     }
 
 
@@ -1619,7 +1609,7 @@ def report_fields(fields, out_path):
               f"{cell['tier0_python']['planning_s']:6.2f}s -> "
               f"{compiled['planning_s']:6.2f}s "
               f"({cell['planning_speedup']:.2f}x, "
-              f"{compiled['descents']['compiled']} compiled descents) "
+              f"descent kernel {compiled['kernels'].get('descent', '-')}) "
               f"identical={cell['makespans_bit_identical']}")
         if not cell["makespans_bit_identical"]:
             failed.append(cell)
@@ -1685,11 +1675,11 @@ def report_reservations(reservations, out_path):
         pinned = cell.get("makespan_matches_pr8")
         pin_note = ("unpinned" if pinned is None
                     else f"matches_pr8={pinned}")
-        reserves = cell.get("reserves", {})
+        mutation = cell.get("kernels", {}).get("mutation", "-")
         print(f"reserve  : {label} ({cell['n_robots']:>4} robots) wall "
               f"{cell['wall_s']:7.1f}s plan {cell['planning_s']:7.1f}s "
               f"makespan {cell['makespan_ticks']} ({pin_note}, "
-              f"{reserves.get('compiled', 0)} compiled commits)")
+              f"{mutation} commits)")
         if pinned is False:
             failed.append(cell)
     print(f"wrote {out_path}")
@@ -1722,7 +1712,6 @@ def report_big_ladder(big, out_path):
               f"plan={cell['planning_s']:7.1f}s "
               f"select={cell['selection_s']:5.1f}s "
               f"rescued={cell['rescued_legs']} "
-              f"batch={cell['batched_legs']}/{cell['batch_conflicts']} "
               f"peak={cell['peak_memory_bytes'] / 1e6:.0f}MB "
               f"rss={cell['ru_maxrss_kb'] / 1024:.0f}MB")
         if ceiling is not None and cell["wall_s"] > ceiling:

@@ -44,12 +44,14 @@ def search_kernel_choice() -> str:
 
 
 #: Floor size (in cells) past which the "paper-scale" machinery switches on
-#: automatically when the corresponding knob is left at ``None``:
-#: region-sharded reservation structures and batched planner wakes.  Every
-#: historical scenario (the scaled-down Table II floors, the small fleet
-#: rungs, the golden-trace mini floor) sits far below this threshold, so the
-#: auto rule leaves their behaviour — and their goldens — byte-identical;
-#: the paper-true 541×302 floor (163 382 cells) lands far above it.
+#: automatically: region-sharded reservation structures and the tier-0.5
+#: wait-following rescue (each when its knob is left at ``None``), the
+#: deep-tie search ordering and the lazy Manhattan heuristic fields on
+#: open floors.  Every historical scenario (the scaled-down Table II
+#: floors, the small fleet rungs, the golden-trace mini floor) sits far
+#: below this threshold, so the auto rule leaves their behaviour — and
+#: their goldens — byte-identical; the paper-true 541×302 floor (163 382
+#: cells) lands far above it.
 PAPER_SCALE_MIN_CELLS = 16_384
 
 
@@ -172,23 +174,6 @@ class PlannerConfig:
     shard_tile_bits:
         log2 of the tile edge length used by the sharded reservation
         structures (5 → 32×32-cell tiles).
-    batch_planning:
-        Whether a planner wake that resolves several (robot, rack) legs
-        plans them as one batch — candidates planned independently against
-        the frozen reservation table, then audited-and-committed in order
-        with an optimistic replan on audit conflict.  ``None`` (default)
-        follows the same :data:`PAPER_SCALE_MIN_CELLS` auto rule as
-        ``reservation_sharding``.
-    batch_min_legs:
-        Minimum number of resolved legs in one wake before the batch path
-        engages; smaller wakes use the sequential plan-commit loop.
-    batch_workers:
-        Process-pool width for planning the independent candidates of one
-        batch in parallel (0 — the default — plans them in-process).  The
-        pool reuses the matrix executor plumbing (spawned workers, the
-        grid shipped once at initialisation) and is only consulted by
-        planners whose pipelines are pool-replicable (no memoising
-        finisher), so pooled and in-process batches stay bit-identical.
     qlearning:
         Nested learner configuration, used by ATP and EATP only.
     seed:
@@ -208,9 +193,6 @@ class PlannerConfig:
     reservation_horizon: int = 64
     reservation_sharding: Optional[bool] = None
     shard_tile_bits: int = 5
-    batch_planning: Optional[bool] = None
-    batch_min_legs: int = 8
-    batch_workers: int = 0
     qlearning: QLearningConfig = field(default_factory=QLearningConfig)
     seed: int = 7
 
@@ -236,10 +218,6 @@ class PlannerConfig:
         _require(2 <= self.shard_tile_bits <= 10,
                  f"shard_tile_bits must be in [2, 10], "
                  f"got {self.shard_tile_bits}")
-        _require(self.batch_min_legs >= 2,
-                 f"batch_min_legs must be >= 2, got {self.batch_min_legs}")
-        _require(self.batch_workers >= 0,
-                 f"batch_workers must be >= 0, got {self.batch_workers}")
 
     def with_(self, **changes) -> "PlannerConfig":
         """Return a copy with ``changes`` applied (ablation convenience)."""
@@ -258,9 +236,6 @@ class SimulationConfig:
     metrics_checkpoints:
         How many evenly spaced item-count checkpoints to record for the
         Fig. 10–12 series (the paper uses 10).
-    purge_interval:
-        How often (in ticks) reservation structures drop past timestamps —
-        the CDT update operation of Sec. VI-B.
     record_bottleneck_trace:
         Whether to record the per-tick transport/queuing/processing cost
         decomposition used by the Fig. 13 case study (small overhead).
@@ -271,7 +246,6 @@ class SimulationConfig:
 
     max_ticks: int = 500_000
     metrics_checkpoints: int = 10
-    purge_interval: int = 64
     record_bottleneck_trace: bool = False
     collect_paths: bool = False
 
@@ -279,5 +253,3 @@ class SimulationConfig:
         _require(self.max_ticks > 0, f"max_ticks must be > 0, got {self.max_ticks}")
         _require(self.metrics_checkpoints >= 1,
                  f"metrics_checkpoints must be >= 1, got {self.metrics_checkpoints}")
-        _require(self.purge_interval >= 1,
-                 f"purge_interval must be >= 1, got {self.purge_interval}")

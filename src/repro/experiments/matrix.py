@@ -179,24 +179,10 @@ def render_fastpath_summary(payloads: Dict[str, dict]) -> str:
 
 
 def render_batch_summary(payloads: Dict[str, dict]) -> str:
-    """Aggregate batched-wake counts — the batch commit loop's pulse.
-
-    All-zero (and a one-line "none") below the paper-scale gate; at
-    paper scale the conflict/leg ratio tells whether optimistic commits
-    are holding up.
-    """
-    totals = {"batched_wakes": 0, "batched_legs": 0, "batch_conflicts": 0,
-              "rescued_legs": 0}
-    for payload in payloads.values():
-        batch = payload["result"]["metrics"].get("batch", {})
-        for key in totals:
-            totals[key] += batch.get(key, 0)
-    if not (totals["batched_wakes"] or totals["rescued_legs"]):
-        return "batched wakes: none (all wakes planned sequentially)"
-    return (f"batched wakes: {totals['batched_legs']} legs across "
-            f"{totals['batched_wakes']} wakes, "
-            f"{totals['batch_conflicts']} commit conflicts replanned; "
-            f"{totals['rescued_legs']} conflicted descents rescued by "
+    """One line: conflicted descents the tier-0.5 rescue served."""
+    rescued = sum(payload["result"]["metrics"].get("batch", {})
+                  .get("rescued_legs", 0) for payload in payloads.values())
+    return (f"rescue: {rescued} conflicted descents served by "
             f"wait-following")
 
 

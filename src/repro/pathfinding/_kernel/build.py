@@ -10,11 +10,13 @@ harmlessly.
 One module carries both halves of the native core: the ``KERNEL_ABI``-1
 search expansion loop and, since ABI 2, the reservation-mutation entry
 points (``reserve_path`` / ``unreserve_path`` / ``purge_before`` /
-``audit_path`` over the ``kernel_probe_spec`` modes).  A stale ABI-1
-artefact is rejected at selection time by ``set_mutation_kernel``, not
-here — rebuilding is still this module's only job, and a rebuilt
-extension cannot be re-imported into a process that already loaded the
-old one (CPython never unloads C extensions; run in a fresh process).
+``audit_path`` over the ``kernel_probe_spec`` modes), whose
+``reserve_path`` signature last changed in ABI 4.  A stale pre-4
+artefact's mutations are rejected at selection time by
+``set_mutation_kernel``, not here — rebuilding is still this module's
+only job, and a rebuilt extension cannot be re-imported into a process
+that already loaded the old one (CPython never unloads C extensions; run
+in a fresh process).
 
 ``setup.py`` in this directory remains the documented setuptools route
 (``python setup.py build_ext --inplace``); this module is what the test

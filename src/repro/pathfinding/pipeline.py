@@ -125,7 +125,7 @@ class LegPlan:
         Which tier-0 implementation attempted the leg (``"compiled"``
         for the fused native call, ``"python"`` for the descent + audit
         pair, ``""`` when tier 0 was off) — the input of the planner's
-        ``descents_compiled`` / ``descents_python`` counters.
+        ``kernels["descent"]`` tag.
     """
 
     path: Path

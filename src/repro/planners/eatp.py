@@ -42,11 +42,6 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
 
     name = "EATP"
 
-    #: The cache-aided finisher memoises into the shortest-path cache at
-    #: plan time; a worker process would grow its own divergent cache (and
-    #: memory metric), so EATP's batched wakes always plan in-process.
-    parallel_batch_safe = False
-
     def __init__(self, state: WarehouseState,
                  config: Optional[PlannerConfig] = None) -> None:
         super().__init__(state, config)
@@ -84,11 +79,8 @@ class EfficientAdaptiveTaskPlanner(AdaptiveTaskPlanner):
     def _make_reservation(self) -> ReservationTable:
         if self.sharded_reservations:
             return ShardedConflictDetectionTable(self.config.shard_tile_bits)
-        # The vectorised audits only pay off on paper-scale floors; below
-        # the gate this is the seed's exact table (and the argless call
-        # keeps the legacy-table swap of the equivalence suite working).
-        if self.paper_scale:
-            return ConflictDetectionTable(vector_audit=True)
+        # The argless call keeps the legacy-table swap of the equivalence
+        # suite working.
         return ConflictDetectionTable()
 
     # -- Alg. 3 selection: flip requesting --------------------------------------

@@ -658,9 +658,6 @@ class Simulation:
                 "misses": self.planner.stats.fastpath_misses,
             },
             batch={
-                "batched_wakes": self.planner.stats.batched_wakes,
-                "batched_legs": self.planner.stats.batched_legs,
-                "batch_conflicts": self.planner.stats.batch_conflicts,
                 "rescued_legs": self.planner.stats.rescued_legs,
             },
         )

@@ -32,13 +32,14 @@ FALLBACK_KEYS = ("windowed_legs", "wait_legs", "horizon_replans")
 #: compare exactly across serial and worker-pool runs.
 FASTPATH_KEYS = ("free_flow_legs", "audit_rejects", "misses")
 
-#: Keys of the batched-wake accounting attached to run metrics (wakes
-#: that planned their legs as one batch, legs that rode in them, and
-#: candidates whose commit audit forced a sequential replan).  Same
-#: normalisation contract as :data:`FALLBACK_KEYS`: a missing dict —
-#: results stored before batched wakes existed, or any run below the
-#: paper-scale gate — reads all-zero.  The counters depend only on the
-#: run's seeds and config, so they survive
+#: Keys of the paper-scale accounting attached to run metrics.  Only
+#: ``rescued_legs`` is still written; the three batched-wake counters
+#: (wakes that planned their legs as one batch, legs that rode in them,
+#: commit-audit replans) retired with batched wakes and stay in the
+#: serialised view as zeros, so stored results, goldens and pinned digests
+#: keep hashing the same block.  Same normalisation contract as
+#: :data:`FALLBACK_KEYS`: a missing key reads 0.  The counters depend
+#: only on the run's seeds and config, so they survive
 #: :func:`~repro.sim.serialize.deterministic_view`.
 BATCH_KEYS = ("batched_wakes", "batched_legs", "batch_conflicts",
               "rescued_legs")
@@ -73,12 +74,11 @@ class RunMetrics:
     is *expected* to be non-zero on healthy runs — a high hit rate is the
     fast path doing its job.
 
-    ``batch`` is the paper-scale accounting (:data:`BATCH_KEYS`): the
-    batched-wake counters plus ``rescued_legs``, the conflicted descents
-    the wait-following rescue served instead of the full search.
-    All-zero on every run below the paper-scale gate (batching and the
-    rescue default off there); at paper scale a low ``batch_conflicts``
-    / ``batched_legs`` ratio is the optimistic commit doing its job.
+    ``batch`` is the paper-scale accounting (:data:`BATCH_KEYS`):
+    ``rescued_legs``, the conflicted descents the wait-following rescue
+    served instead of the full search, beside three retired counters
+    that always read 0.  All-zero on every run below the paper-scale gate
+    (the rescue defaults off there).
     """
 
     makespan: Tick = 0

@@ -1,26 +1,16 @@
-"""Batched planner wakes, the worker pool, the paper-scale auto-gate,
-and the tier-0.5 wait-following rescue.
+"""The paper-scale auto-gate and what it arms: region-sharded
+reservations, the tier-0.5 wait-following rescue and deep-tie ordering.
 
-The batched-wake contract (see ``Planner._plan_wake_batch``): candidates
-are planned independently against the wake's opening reservation state,
-then committed in order behind an optimistic audit — a rejected candidate
-is replanned once against the live table, which *is* the sequential
-contract for that leg.  The invariant the suite pins is therefore not
-path identity (candidates see staler reservations by design) but
-conflict-freedom of everything committed, plus exact accounting.
-
-The worker pool must be a pure wall-clock knob: a run with
-``batch_workers=2`` produces the identical deterministic view as the
-inline batch, because workers plan the same candidates against the same
-shipped reservation state and the audit-then-commit loop runs unchanged
-in the main process.
+Floors of at least ``PAPER_SCALE_MIN_CELLS`` cells switch the machinery
+on; every smaller floor keeps the paper-faithful structures, so its runs
+stay byte-identical.  A wake still plans and commits its legs one after
+another, so each committed leg is conflict-free against every leg
+committed before it — on the sharded tables too.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-
-import pytest
 
 from repro.config import PAPER_SCALE_MIN_CELLS, PlannerConfig
 from repro.experiments.harness import run_planner
@@ -35,25 +25,19 @@ from repro.pathfinding.spatiotemporal_graph import (
 from repro.pathfinding.st_astar import find_path
 from repro.planners import PLANNERS
 from repro.sim.metrics import BATCH_KEYS
-from repro.sim.serialize import (deterministic_view, metrics_from_dict,
-                                 metrics_to_dict, result_to_dict)
-from repro.warehouse.entities import Rack
+from repro.sim.serialize import metrics_from_dict, metrics_to_dict
+from repro.warehouse.entities import Item, Picker, Rack, Robot
 from repro.warehouse.grid import Grid
 from repro.warehouse.state import WarehouseState
 from repro.workloads.datasets import ItemStreamSpec, make_mini
 
-#: Forces batching on the sub-gate mini floor: every wake with at least
-#: two legs plans as a batch.
-FORCED_BATCH = dict(batch_planning=True, batch_min_legs=2)
 
-
-def bursty_mini(seed: int = 1, n_items: int = 30):
+def bursty_mini(seed: int, n_items: int = 30):
     """The mini floor under arrivals fast enough to co-idle robots.
 
     The stock mini stream (poisson rate 0.4) wakes the planner one leg
-    at a time, so a forced-batch run would never actually batch; at
-    rate 3.0 several items land per tick and multi-leg wakes occur
-    (seed 1 is pinned: two batched wakes, five batched legs).
+    at a time; at rate 3.0 several items land per tick, so wakes carry
+    several legs and their descents collide.
     """
     spec = make_mini(seed=seed, n_items=n_items)
     return replace(spec, items=ItemStreamSpec.of(
@@ -61,102 +45,25 @@ def bursty_mini(seed: int = 1, n_items: int = 30):
         processing_low=5, processing_high=12))
 
 
-def open_row(grid: Grid, length: int):
-    """Endpoints of a horizontal run of ``length`` passable cells."""
-    for y in range(grid.height):
-        run = 0
-        for x in range(grid.width):
-            run = run + 1 if grid.passable((x, y)) else 0
-            if run >= length:
-                return (x - length + 1, y), (x, y)
-    raise AssertionError(f"no open row of {length} cells in the fixture")
-
-
-@pytest.fixture(scope="module")
-def forced_batch_result():
-    """One forced-batch NTP run over the bursty mini floor, shared."""
-    return run_planner(bursty_mini(), "NTP",
-                       planner_config=PlannerConfig(**FORCED_BATCH))
-
-
-class TestForcedBatchRuns:
-    def test_run_drains_and_counts_batches(self, forced_batch_result):
-        # run_planner raising on an undrained run is the completion
-        # check; here we pin that batching actually engaged.
-        batch = forced_batch_result.metrics.batch_view()
-        assert batch["batched_wakes"] >= 1
-        assert batch["batched_legs"] >= batch["batched_wakes"]
-        assert batch["batch_conflicts"] >= 0
-
-    def test_batch_off_below_gate_counters_zero(self):
+class TestPaperScaleAccounting:
+    def test_counters_zero_below_gate(self):
         spec = make_mini(seed=7, n_items=30)
         result = run_planner(spec, "NTP")
         assert result.metrics.batch_view() == {key: 0 for key in BATCH_KEYS}
 
-    def test_batch_metrics_round_trip(self, forced_batch_result):
-        payload = metrics_to_dict(forced_batch_result.metrics)
-        rebuilt = metrics_from_dict(payload)
-        assert rebuilt.batch_view() == forced_batch_result.metrics.batch_view()
-
-
-class TestBatchConflictReplan:
-    def test_head_on_batch_commits_conflict_free(self):
-        """Two head-on candidates: the audit catches the second, the
-        replan routes it around, and both commits are conflict-free."""
-        state, __ = make_mini(seed=3, n_items=10).build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(**FORCED_BATCH))
-        a, b = open_row(state.grid, 6)
-        paths = planner._plan_wake_batch(0, [(a, b), (b, a)])
-        assert planner.stats.batched_wakes == 1
-        assert planner.stats.batched_legs == 2
-        # Both free-flow candidates hug the same row in opposite
-        # directions, so the second one's audit must have failed.
-        assert planner.stats.batch_conflicts == 1
-        # Replay the commits onto a fresh table: each path must audit
-        # clean against everything committed before it.
-        fresh = SpatiotemporalGraph(state.grid)
-        for path in paths:
-            assert fresh.audit_path(path) is True
-            fresh.reserve_path(path)
-
-    def test_disjoint_batch_needs_no_replan(self):
-        state, __ = make_mini(seed=3, n_items=10).build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(**FORCED_BATCH))
-        a, b = open_row(state.grid, 6)
-        # Same direction, staggered start cells: candidates never meet.
-        paths = planner._plan_wake_batch(0, [(a, b), (a, b)])
-        assert planner.stats.batch_conflicts in (0, 1)
-        assert len(paths) == 2
-
-
-class TestWorkerPool:
-    def test_pool_matches_inline_batch(self):
-        """``batch_workers=2`` is wall-clock only: identical view."""
-        views = {}
-        for workers in (0, 2):
-            config = PlannerConfig(batch_workers=workers, **FORCED_BATCH)
-            result = run_planner(bursty_mini(), "NTP", planner_config=config)
-            views[workers] = deterministic_view(result_to_dict(result))
-        assert views[0] == views[2]
-
-    def test_eatp_opts_out_of_the_pool(self):
-        # EATP's cache-aided finisher memoises into the main process's
-        # shortest-path cache; a worker would silently diverge from it.
-        state, __ = make_mini(seed=3, n_items=10).build()
-        planner = PLANNERS["EATP"](state, PlannerConfig(batch_workers=2,
-                                                       **FORCED_BATCH))
-        assert planner.parallel_batch_safe is False
-        assert planner._batch_planner_pool() is None
-
-    def test_close_is_idempotent(self):
-        state, __ = make_mini(seed=3, n_items=10).build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(batch_workers=1,
-                                                       **FORCED_BATCH))
-        pool = planner._batch_planner_pool()
-        assert pool is not None
-        planner.close()
-        assert planner._batch_pool is None
-        planner.close()  # second close must be a no-op
+    def test_rescue_metrics_round_trip(self):
+        # Forcing the rescue on below the gate makes the block non-zero
+        # (seed 3 is pinned: one conflicted descent gets rescued).
+        result = run_planner(bursty_mini(seed=3), "NTP",
+                             planner_config=PlannerConfig(
+                                 free_flow_rescue=True))
+        batch = result.metrics.batch_view()
+        assert batch["rescued_legs"] > 0
+        # The retired batched-wake counters stay in the view as zeros.
+        assert batch["batched_wakes"] == batch["batched_legs"] == 0
+        assert batch["batch_conflicts"] == 0
+        rebuilt = metrics_from_dict(metrics_to_dict(result.metrics))
+        assert rebuilt.batch_view() == batch
 
 
 class TestPaperScaleAutoGate:
@@ -165,7 +72,7 @@ class TestPaperScaleAutoGate:
         planner = PLANNERS["NTP"](state)
         assert planner.paper_scale is False
         assert planner.sharded_reservations is False
-        assert planner.batch_planning is False
+        assert planner.pipeline.rescue_enabled is False
         assert isinstance(planner.reservation, SpatiotemporalGraph)
 
     def test_paper_floor_defaults_on(self):
@@ -176,16 +83,16 @@ class TestPaperScaleAutoGate:
         planner = PLANNERS["NTP"](state)
         assert planner.paper_scale is True
         assert planner.sharded_reservations is True
-        assert planner.batch_planning is True
+        assert planner.pipeline.rescue_enabled is True
         assert isinstance(planner.reservation, ShardedSpatiotemporalGraph)
 
     def test_explicit_knobs_override_the_gate(self):
         big = WarehouseState(grid=Grid(128, 128), racks=[],
                              pickers=[], robots=[])
         forced_off = PLANNERS["NTP"](big, PlannerConfig(
-            reservation_sharding=False, batch_planning=False))
+            reservation_sharding=False, free_flow_rescue=False))
         assert forced_off.sharded_reservations is False
-        assert forced_off.batch_planning is False
+        assert forced_off.pipeline.rescue_enabled is False
         assert isinstance(forced_off.reservation, SpatiotemporalGraph)
 
         small, __ = make_mini(seed=3, n_items=10).build()
@@ -201,6 +108,46 @@ class TestPaperScaleAutoGate:
                                pickers=[], robots=[])
         planner = PLANNERS["EATP"](state)
         assert isinstance(planner.reservation, ShardedConflictDetectionTable)
+
+
+class TestMultiLegWake:
+    def crossing_floor(self):
+        """A gate-sized floor whose two pickup legs cross head-on in time.
+
+        Robot 0 runs east along row 20 and robot 1 north along column 20;
+        both straight descents reach (20, 20) at the tenth tick.
+        """
+        racks = [Rack(rack_id=0, home=(30, 20), picker_id=0),
+                 Rack(rack_id=1, home=(20, 30), picker_id=0)]
+        for rack in racks:
+            rack.pending_items.append(Item(item_id=rack.rack_id,
+                                           rack_id=rack.rack_id, arrival=0,
+                                           processing_time=5))
+        return WarehouseState(
+            grid=Grid(128, 128), racks=racks,
+            pickers=[Picker(picker_id=0, location=(60, 60))],
+            robots=[Robot(robot_id=0, location=(10, 20)),
+                    Robot(robot_id=1, location=(20, 10))])
+
+    def test_crossing_pickup_legs_commit_conflict_free(self):
+        state = self.crossing_floor()
+        planner = PLANNERS["NTP"](state)
+        assert isinstance(planner.reservation, ShardedSpatiotemporalGraph)
+        scheme = planner.plan(0)
+        paths = [assignment.pickup_path for assignment in scheme]
+        assert len(paths) == 2
+        # The legs really cross, and the second saw the first's commit.
+        first, second = ({(x, y) for __, x, y in path.steps}
+                         for path in paths)
+        assert first & second
+        assert (planner.stats.rescued_legs
+                + planner.stats.fastpath_audit_rejects) >= 1
+        # Replay the commits onto a fresh, independent table: each path
+        # must audit clean against everything committed before it.
+        fresh = SpatiotemporalGraph(state.grid)
+        for path in paths:
+            assert fresh.audit_path(path) is True
+            fresh.reserve_path(path)
 
 
 class TestWaitFollowingRescue:

@@ -3,7 +3,7 @@
 The compiled reserve / unreserve / purge / audit entry points must be
 drop-ins for the pure-python mutation loops on every production table —
 same container contents bit for bit, same incremental counters, same
-probe-index feed (including poisoning), same audit answers — and the
+audit answers — and the
 incremental occupancy counters every structure now maintains must never
 drift from a walk-from-scratch recount.  The equivalence half builds the
 extension on the fly (skipping where no compiler is available); the
@@ -12,6 +12,7 @@ whichever kernel is selected, so the pure-python CI job exercises them
 with the extension never built.
 """
 
+import pickle
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from repro.pathfinding.spatiotemporal_graph import (ShardedSpatiotemporalGraph,
                                                     SpatiotemporalGraph)
 from repro.pathfinding.st_astar import search_kernel_name, set_search_kernel
 from repro.planners import PLANNERS
+from repro.planners.base import PlannerStats
 from repro.sim.engine import Simulation
 from repro.warehouse.grid import Grid
 from repro.workloads.datasets import make_mini
@@ -56,7 +58,6 @@ WIDTH, HEIGHT = 12, 10
 
 TABLES = {
     "cdt": lambda: ConflictDetectionTable(),
-    "cdt-vector": lambda: ConflictDetectionTable(vector_audit=True),
     "sharded-cdt": lambda: ShardedConflictDetectionTable(tile_bits=2),
     "stgraph": lambda: SpatiotemporalGraph(Grid(WIDTH, HEIGHT)),
     "sharded-stgraph": lambda: ShardedSpatiotemporalGraph(tile_bits=2),
@@ -231,52 +232,6 @@ class TestMutationBitIdentity:
                     == compiled_table.recount())
 
 
-@needs_compiled
-class TestProbeIndexFeed:
-    """The compiled reserve must feed the vector-audit indexes exactly."""
-
-    def index_values(self, table):
-        merged = []
-        for index in (table._vindex, table._eindex):
-            assert index is not None
-            merged.append(sorted(list(index._sorted) + list(index._pending)))
-        return merged
-
-    def test_collected_probes_match_per_call_feed(self):
-        rng = random.Random(11)
-        paths = [random_walk(rng) for _ in range(12)]
-        set_mutation_kernel(COMPILED)
-        compiled_table = ConflictDetectionTable(vector_audit=True)
-        for path in paths:
-            compiled_table.reserve_path(path)
-        set_mutation_kernel(None)
-        python_table = ConflictDetectionTable(vector_audit=True)
-        for path in paths:
-            python_table.reserve_path(path)
-        assert (self.index_values(compiled_table)
-                == self.index_values(python_table))
-
-    def test_tick_overflow_poisons_like_python(self):
-        from repro.pathfinding.cdt import CHAIN_TICK_LIMIT
-
-        set_mutation_kernel(COMPILED)
-        table = ConflictDetectionTable(vector_audit=True)
-        table.reserve_path(
-            Path.from_cells([(0, 0), (1, 0)], CHAIN_TICK_LIMIT))
-        assert table._vindex is None and table._eindex is None
-        # State must still have mutated despite the poisoned batch.
-        assert not table.is_free(CHAIN_TICK_LIMIT, (0, 0))
-
-    def test_unreserve_poisons_indexes(self):
-        set_mutation_kernel(COMPILED)
-        table = ConflictDetectionTable(vector_audit=True)
-        path = Path.from_cells([(0, 0), (1, 0), (2, 0)], 0)
-        table.reserve_path(path)
-        assert table._vindex is not None
-        table.unreserve_path(path)
-        assert table._vindex is None
-
-
 def _free_flow_ops(cache, rng, cells):
     for _ in range(80):
         roll = rng.random()
@@ -330,13 +285,11 @@ class TestPlannerAccounting:
 
     def test_mutation_kernel_tags(self):
         result_py, planner_py = self.run_mini("python")
-        stats = planner_py.stats
-        assert stats.reserves_python > 0 and stats.reserves_compiled == 0
+        assert planner_py.stats.kernels["mutation"] == "python"
         if COMPILED is None:
             return
         result_c, planner_c = self.run_mini("compiled")
-        stats = planner_c.stats
-        assert stats.reserves_compiled > 0 and stats.reserves_python == 0
+        assert planner_c.stats.kernels["mutation"] == "compiled"
         assert (result_c.metrics.makespan == result_py.metrics.makespan)
         assert (result_c.metrics.peak_memory_bytes
                 == result_py.metrics.peak_memory_bytes)
@@ -344,19 +297,36 @@ class TestPlannerAccounting:
                 == [s.memory_bytes for s in result_py.metrics.checkpoints])
 
     def test_purge_kernel_tags(self):
+        state, __ = make_mini(n_items=4).build()
+        planner = PLANNERS["NTP"](state)
+        assert planner.stats.kernels == {}
+        # No commit yet: the purge alone tags the mutation plane.
         set_search_kernel("python")
-        scenario = make_mini(n_items=24)
-        state, items = scenario.build()
-        planner = PLANNERS["NTP"](state, PlannerConfig(free_flow=False))
-        try:
-            Simulation(state, planner, items).run()
-        finally:
-            planner.close()
-        stats = planner.stats
-        assert stats.purges_compiled == 0
-        # A run long enough to cross the purge cadence tags its purges.
-        if stats.purges_python:
-            assert planner.reservation.mutation_kernel == "python"
+        planner.advance(0, 1000)
+        assert planner.stats.kernels == {"mutation": "python"}
+        if COMPILED is None:
+            return
+        set_search_kernel("compiled")
+        planner.advance(1001, 2000)
+        assert planner.stats.kernels == {"mutation": "mixed"}
+        # "mixed" is sticky: one kernel again does not un-mix the plane.
+        planner.advance(2001, 3000)
+        assert planner.stats.kernels == {"mutation": "mixed"}
+
+    def test_stats_pickled_before_kernel_tags_restore(self):
+        """Checkpointed stats carrying the retired per-kernel counters
+        (and no ``kernels`` map) restore onto the class-level default."""
+        old = PlannerStats(legs_planned=3)
+        old.__dict__.update(searches_compiled=2, reserves_python=3,
+                            purges_python=1, descents_compiled=3)
+        assert "kernels" not in old.__dict__
+        restored = pickle.loads(pickle.dumps(old))
+        assert restored.legs_planned == 3
+        assert restored.kernels == {}
+        restored.note_kernel("search", "compiled")
+        assert restored.kernels == {"search": "compiled"}
+        # The tag replaced the shared default instead of mutating it.
+        assert PlannerStats().kernels == {}
 
     def test_memory_cache_tracks_mutations(self):
         set_search_kernel("python")
