@@ -17,6 +17,10 @@ We therefore solve with ``scipy.optimize.linear_sum_assignment``, which is
 exact and orders of magnitude faster than a generic MILP — the substitution
 is value-preserving by construction.  (A generic-MILP path via
 ``scipy.optimize.milp`` is kept for cross-checking small instances.)
+
+scipy is imported on the first solve rather than with the module.  No
+other module of the package uses it, so importing the library and running
+the other four planners never load it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, milp, LinearConstraint, Bounds
 
 from ..types import Tick, manhattan
 from ..warehouse.entities import Rack, Robot
@@ -42,6 +45,8 @@ class IlpPlanner(Planner):
 
     def _select(self, t: Tick, racks: List[Rack],
                 robots: List[Robot]) -> List[SelectionEntry]:
+        from scipy.optimize import linear_sum_assignment
+
         cost = self._cost_matrix(racks, robots)
         row_ind, col_ind = linear_sum_assignment(cost)
         entries = [SelectionEntry(rack=racks[c], robot=robots[r])
@@ -86,6 +91,8 @@ class IlpPlanner(Planner):
         n_a, n_r = len(robots), len(racks)
         if n_a * n_r > self.MILP_CROSSCHECK_LIMIT:
             return None
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         cost = self._cost_matrix(racks, robots).reshape(-1)
         n_vars = n_a * n_r
 

@@ -98,19 +98,35 @@ class Grid:
         Blocked cells get an empty adjacency row and are never the target
         of anyone else's row, so the search can index blindly.
         """
-        height = self.height
+        width, height = self.width, self.height
         blocked = self._blocked
+        last_x, last_y = width - 1, height - 1
+        step = 1 << CELL_KEY_SHIFT
         adjacency: List[Tuple[Tuple[int, int], ...]] = []
         cell_keys: List[int] = []
-        for x in range(self.width):
+        # One pass with the neighbour arithmetic inlined: a neighbour's
+        # flat index is ci ± H or ci ± 1 and its key is key ± step or
+        # key ± 1, and the blocked set is only probed when it has cells.
+        for x in range(width):
+            base = x * height
+            kx = x << CELL_KEY_SHIFT
             for y in range(height):
-                cell_keys.append((x << CELL_KEY_SHIFT) | y)
-                if (x, y) in blocked:
+                ci = base + y
+                key = kx | y
+                cell_keys.append(key)
+                if blocked and (x, y) in blocked:
                     adjacency.append(())
                     continue
-                adjacency.append(tuple(
-                    (nx * height + ny, (nx << CELL_KEY_SHIFT) | ny)
-                    for nx, ny in self.neighbours((x, y))))
+                row = []
+                if x < last_x and not (blocked and (x + 1, y) in blocked):
+                    row.append((ci + height, key + step))
+                if x and not (blocked and (x - 1, y) in blocked):
+                    row.append((ci - height, key - step))
+                if y < last_y and not (blocked and (x, y + 1) in blocked):
+                    row.append((ci + 1, key + 1))
+                if y and not (blocked and (x, y - 1) in blocked):
+                    row.append((ci - 1, key - 1))
+                adjacency.append(tuple(row))
         self.adjacency: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(adjacency)
         self.cell_keys: List[int] = cell_keys
 

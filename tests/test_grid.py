@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import InvalidLocationError
 from repro.types import manhattan
 from repro.warehouse.grid import Grid
+from repro.workloads.datasets import obstructed_floor
 
 
 class TestConstruction:
@@ -101,3 +103,58 @@ class TestEquality:
 
     def test_hashable(self):
         assert len({Grid(4, 4), Grid(4, 4)}) == 1
+
+
+def rows_from_neighbours(grid):
+    """The adjacency table rebuilt cell by cell from ``neighbours()``."""
+    rows = []
+    for x in range(grid.width):
+        for y in range(grid.height):
+            if not grid.passable((x, y)):
+                rows.append(())
+                continue
+            rows.append(tuple(
+                (grid.cell_index(cell), (cell[0] << 16) | cell[1])
+                for cell in grid.neighbours((x, y))))
+    return rows
+
+
+@st.composite
+def grids(draw):
+    """Random floors, 1×N and N×1 strips and fully blocked columns included."""
+    width = draw(st.integers(1, 12))
+    height = draw(st.integers(1, 12))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    blocked = set(draw(st.lists(st.sampled_from(cells), max_size=len(cells))))
+    if draw(st.booleans()):
+        column = draw(st.integers(0, width - 1))
+        blocked.update((column, y) for y in range(height))
+    return Grid(width, height, blocked=blocked)
+
+
+class TestPackedTables:
+    def assert_tables_match(self, grid):
+        assert list(grid.adjacency) == rows_from_neighbours(grid)
+        assert grid.cell_keys == [(x << 16) | y for x in range(grid.width)
+                                  for y in range(grid.height)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(grids())
+    @example(Grid(1, 1))
+    @example(Grid(1, 9))
+    @example(Grid(9, 1))
+    @example(Grid(3, 4, blocked=[(1, y) for y in range(4)]))
+    def test_tables_match_neighbours(self, grid):
+        self.assert_tables_match(grid)
+
+    def test_rows_keep_neighbour_order(self):
+        grid = Grid(3, 3)
+        centre = grid.adjacency[grid.cell_index((1, 1))]
+        assert [grid.index_cell(ci) for ci, __ in centre] == [
+            (2, 1), (0, 1), (1, 2), (1, 0)]
+
+    def test_obstructed_floor(self):
+        spec = obstructed_floor(scale=0.25)[-1]
+        grid = spec.layout().grid
+        assert grid.blocked_cells
+        self.assert_tables_match(grid)
